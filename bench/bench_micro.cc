@@ -31,7 +31,6 @@
 #include "resumegen/corpus.h"
 #include "rf_lint/rules.h"
 #include "serve/server.h"
-#include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
@@ -157,7 +156,7 @@ void BM_EncoderForward(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderForward)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// --- inference fast path: fused attention, buffer arena, batched parse ---
+// --- inference fast path: fused attention, batched parse ---
 
 // Attention core at the paper dimensions (T=350 sentences, D=768, H=12;
 // Section V). Composed = the reference per-head op chain with materialized
@@ -245,33 +244,9 @@ void BM_MatMulWithTranspose(benchmark::State& state) {
 BENCHMARK(BM_MatMulWithTranspose)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_EncoderForwardArena(benchmark::State& state) {
-  // Same forward as BM_EncoderForward (threads=1); Arg toggles the arena so
-  // its allocation savings are visible in isolation.
-  Env& env = GetEnv();
-  core::ResuFormerConfig cfg = env.model_cfg;
-  cfg.hidden = 128;
-  cfg.ffn = 256;
-  cfg.runtime.threads = 1;
-  cfg.runtime.use_tensor_arena = state.range(0) != 0;
-  Rng rng(33);
-  core::BlockClassifier classifier(cfg, &rng);
-  classifier.SetTraining(false);
-  const core::EncodedDocument encoded =
-      core::EncodeForModel(env.corpus.test[0].document, *env.tokenizer, cfg);
-  TensorArena::Global().SetEnabled(cfg.runtime.use_tensor_arena);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(classifier.Predict(encoded));
-  }
-  state.counters["arena"] = static_cast<double>(state.range(0));
-  TensorArena::Global().SetEnabled(true);
-}
-BENCHMARK(BM_EncoderForwardArena)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-// Document-batch throughput (docs/sec): serial Parse loop vs the pooled
-// ParseBatch entry point, on a fused-attention pipeline and a composed-
-// reference pipeline. Arg0: 0 = serial/fused, 1 = batched/fused,
+// Document-batch throughput (docs/sec): a serial Parse(ParseRequest) loop
+// vs the pooled Parse(std::vector<ParseRequest>) entry point, on a
+// fused-attention pipeline and a composed-reference pipeline. Arg0: 0 = serial/fused, 1 = batched/fused,
 // 2 = serial/reference, 3 = batched/reference.
 struct ParseEnv {
   ParseEnv() {
@@ -284,6 +259,9 @@ struct ParseEnv {
     corpus = resumegen::GenerateCorpus(ccfg);
     for (const resumegen::GeneratedResume& r : corpus.test) {
       documents.push_back(r.document);
+      pipeline::ParseRequest request;
+      request.document = r.document;
+      requests.push_back(std::move(request));
     }
     pipeline::PipelineOptions options;
     options.model.hidden = 64;
@@ -318,6 +296,7 @@ struct ParseEnv {
   }
   resumegen::Corpus corpus;
   std::vector<doc::Document> documents;
+  std::vector<pipeline::ParseRequest> requests;
   std::unique_ptr<pipeline::ResuFormerPipeline> fused;
   std::unique_ptr<pipeline::ResuFormerPipeline> reference;
 };
@@ -336,16 +315,16 @@ void BM_ParseThroughput(benchmark::State& state) {
   ThreadPool::Global().SetNumThreads(batched ? 4 : 1);
   for (auto _ : state) {
     if (batched) {
-      benchmark::DoNotOptimize(pipe.ParseBatch(env.documents));
+      benchmark::DoNotOptimize(pipe.Parse(env.requests));
     } else {
-      for (const doc::Document& document : env.documents) {
-        benchmark::DoNotOptimize(pipe.Parse(document));
+      for (const pipeline::ParseRequest& request : env.requests) {
+        benchmark::DoNotOptimize(pipe.Parse(request));
       }
     }
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(env.documents.size()));
-  state.counters["docs"] = static_cast<double>(env.documents.size());
+                          static_cast<int64_t>(env.requests.size()));
+  state.counters["docs"] = static_cast<double>(env.requests.size());
   state.counters["threads"] = batched ? 4.0 : 1.0;
   state.counters["fused"] = use_fused ? 1.0 : 0.0;
   ThreadPool::Global().SetNumThreads(1);
@@ -407,8 +386,8 @@ BENCHMARK(BM_ServerThroughput)->Arg(1)->Arg(4)->Arg(8)
 // --- static inference plan: trace-once replay vs the dynamic op graph ---
 
 // Table-scale emissions (the Env config): the plan's win is largest here,
-// where per-op dispatch (node construction, shape inference, arena
-// round-trips) dominates the small kernels.
+// where per-op dispatch (node construction, shape inference, output
+// allocation) dominates the small kernels.
 void BM_EmissionsDynamic(benchmark::State& state) {
   Env& env = GetEnv();
   ThreadPool::Global().SetNumThreads(1);
@@ -876,9 +855,9 @@ class MicroJsonReporter : public benchmark::BenchmarkReporter {
     for (size_t i = 0; i < records_.size(); ++i) {
       out << records_[i] << (i + 1 < records_.size() ? ",\n" : "\n");
     }
-    // Counters accumulated across every run above (GEMM calls/FLOPs, arena
-    // hits, pool dispatches, pipeline tallies) — the structural side of a
-    // bench run, alongside the timings.
+    // Counters accumulated across every run above (GEMM calls/FLOPs, pool
+    // dispatches, pipeline tallies) — the structural side of a bench run,
+    // alongside the timings.
     out << "],\n\"metrics\": "
         << resuformer::metrics::MetricsRegistry::Global().Snapshot().ToJson()
         << "\n}\n";

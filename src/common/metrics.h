@@ -21,7 +21,7 @@ namespace metrics {
 ///    once (registration takes the registry mutex; updates never do).
 ///  * Counters and gauges are ALWAYS live — a relaxed fetch_add is cheaper
 ///    than a branch-to-skip would be worth, and it keeps structural tallies
-///    (arena hits, documents parsed) available even in untimed runs.
+///    (documents parsed, GEMM calls) available even in untimed runs.
 ///  * Anything that needs a clock (ScopedTimerUs, the thread-pool wait/run
 ///    histograms) is gated on `MetricsRegistry::Enabled()`, a single relaxed
 ///    atomic load, so `enable_metrics = false` costs one predictable branch

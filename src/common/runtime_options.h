@@ -11,18 +11,16 @@ namespace resuformer {
 ///
 /// Model hyper-parameters describe *what* to compute; RuntimeOptions
 /// describes *how* the process executes it (pool width, kernel selection,
-/// allocator recycling, observability). `ResuFormerConfig` embeds one as
-/// `runtime`, and model constructors apply it via
-/// `core::ApplyRuntimeOptions`, so a single struct flows from config files,
-/// env vars or CLI flags down to the thread pool, arena, metrics registry
-/// and tracer.
+/// observability). `ResuFormerConfig` embeds one as `runtime`, and model
+/// constructors apply it via `core::ApplyRuntimeOptions`, so a single struct
+/// flows from config files, env vars or CLI flags down to the thread pool,
+/// metrics registry and tracer.
 ///
 /// Environment overrides are resolved in exactly one place —
 /// `RuntimeOptions::FromEnv()` — instead of scattered getenv calls:
 ///
 ///   RESUFORMER_THREADS          int    worker threads (>=1; 0 = auto)
 ///   RESUFORMER_FUSED_ATTENTION  0/1    fused vs composed attention path
-///   RESUFORMER_TENSOR_ARENA     0/1    tensor-storage recycling
 ///   RESUFORMER_USE_PLAN         0/1    static inference-plan replay
 ///   RESUFORMER_USE_INT8         0/1    int8 GEMMs inside plan replay
 ///   RESUFORMER_SAVE_RFP3        0/1    save mmap-able RFP3 checkpoints
@@ -53,10 +51,6 @@ struct RuntimeOptions {
   // per-head op chain (the equivalence oracle used by the tests).
   bool use_fused_attention = true;
 
-  // Recycle tensor storage through the global TensorArena free-list instead
-  // of hitting the allocator on every op.
-  bool use_tensor_arena = true;
-
   // Route ResuFormerPipeline parses through the static inference-plan cache
   // (trace once per sequence-length bucket, replay per document; see
   // core/inference_plan.h). Output is identical to the dynamic path — any
@@ -80,8 +74,8 @@ struct RuntimeOptions {
   bool save_rfp3 = false;
 
   // Enables the *timed* metrics (latency histograms, thread-pool queue-wait
-  // sampling). Structural counters (arena hits, documents parsed, GEMM
-  // calls) are always live; this knob only gates clock reads.
+  // sampling). Structural counters (documents parsed, GEMM calls) are
+  // always live; this knob only gates clock reads.
   bool enable_metrics = false;
 
   // Enables scoped-span tracing (TRACE_SPAN). Off, every span site costs

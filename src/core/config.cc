@@ -3,7 +3,6 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "tensor/arena.h"
 
 namespace resuformer {
 namespace core {
@@ -12,7 +11,6 @@ void ApplyRuntimeOptions(const RuntimeOptions& options) {
   // SetNumThreads resolves <= 0 to the RESUFORMER_THREADS env override or
   // hardware concurrency, and is a no-op when the size is unchanged.
   ThreadPool::Global().SetNumThreads(options.threads);
-  TensorArena::Global().SetEnabled(options.use_tensor_arena);
   metrics::MetricsRegistry::Global().SetEnabled(options.enable_metrics);
   trace::TraceRecorder::Global().SetBufferCapacity(
       options.trace_buffer_capacity);

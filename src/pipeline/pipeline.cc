@@ -11,7 +11,6 @@
 #include "common/trace.h"
 #include "distant/dictionary.h"
 #include "nn/serialize.h"
-#include "tensor/arena.h"
 
 namespace resuformer {
 namespace pipeline {
@@ -50,23 +49,10 @@ std::vector<std::pair<std::string, int64_t>> ManifestFields(
   };
 }
 
-/// Stamps wall time and the arena hit rate over [start_ns, now] into stats.
-/// The rate diffs the *calling thread's* arena counters: a parse runs
-/// entirely on one thread, so the window sees only this document's
-/// allocations even when ParseBatchWithStats parses documents concurrently
-/// (the process-wide counters would mix every worker's traffic).
-void FinalizeParseStats(int64_t start_ns,
-                        const TensorArena::ThreadStats& before,
-                        ParseStats* stats) {
+/// Stamps the wall time over [start_ns, now] into stats.
+void FinalizeParseStats(int64_t start_ns, ParseStats* stats) {
   stats->wall_time_us =
       static_cast<double>(trace::NowNs() - start_ns) / 1000.0;
-  const TensorArena::ThreadStats after = TensorArena::thread_stats();
-  const int64_t hits = after.hits - before.hits;
-  const int64_t misses = after.misses - before.misses;
-  if (hits + misses > 0) {
-    stats->arena_hit_rate =
-        static_cast<double>(hits) / static_cast<double>(hits + misses);
-  }
 }
 
 }  // namespace
@@ -219,7 +205,6 @@ ParseResult ResuFormerPipeline::ParseDocument(
   // encoder would record parents and backward closures just to drop them.
   NoGradGuard no_grad;
   const int64_t start_ns = trace::NowNs();
-  const TensorArena::ThreadStats arena_before = TensorArena::thread_stats();
   documents_counter->Increment();
 
   ParseResult result;
@@ -234,7 +219,7 @@ ParseResult ResuFormerPipeline::ParseDocument(
   result.stats.num_sentences = static_cast<int>(encoded.sentences.size());
   sentences_counter->Increment(result.stats.num_sentences);
   if (encoded.sentences.empty()) {
-    FinalizeParseStats(start_ns, arena_before, &result.stats);
+    FinalizeParseStats(start_ns, &result.stats);
     return result;
   }
   std::vector<int> labels;
@@ -268,14 +253,14 @@ ParseResult ResuFormerPipeline::ParseDocument(
                                 block.tag == doc::BlockTag::kProjExp;
     if (entity_bearing && !words.empty() && ner_model_ != nullptr) {
       TRACE_SPAN("pipeline.ner");
-      static metrics::Counter* ner_truncations_counter =
+      static metrics::Counter* ner_windowed_blocks_counter =
           metrics::MetricsRegistry::Global().GetCounter(
-              "pipeline.ner_truncations");
-      // Blocks longer than one NER window were silently truncated here
-      // before PredictWords windowed them; the counter keeps that tail
-      // visible.
+              "pipeline.ner_windowed_blocks");
+      // Blocks longer than one NER window (max_tokens words) are split by
+      // PredictWords into several windowed Predict calls; count each such
+      // block once.
       if (static_cast<int>(words.size()) > ner_cfg.max_tokens) {
-        ner_truncations_counter->Increment();
+        ner_windowed_blocks_counter->Increment();
       }
       const std::vector<int> entity_labels =
           ner_model_->PredictWords(words, *tokenizer_);
@@ -308,7 +293,7 @@ ParseResult ResuFormerPipeline::ParseDocument(
   result.stats.num_blocks = static_cast<int>(out.blocks.size());
   blocks_counter->Increment(result.stats.num_blocks);
   entities_counter->Increment(result.stats.num_entities);
-  FinalizeParseStats(start_ns, arena_before, &result.stats);
+  FinalizeParseStats(start_ns, &result.stats);
   return result;
 }
 

@@ -34,18 +34,13 @@ struct StructuredResume {
   std::vector<StructuredBlock> blocks;
 };
 
-/// Per-document measurements captured alongside a parse. Counts are exact;
-/// arena_hit_rate is computed from the *calling thread's* arena counters
-/// over the parse window, so it describes this document's own allocations
-/// even when several documents parse concurrently (ParseBatchWithStats runs
-/// each document entirely on one worker).
+/// Per-document measurements captured alongside a parse. Counts are exact.
 struct ParseStats {
   double wall_time_us = 0.0;
   int num_sentences = 0;  // sentences after encoding truncation
   int num_blocks = 0;
   int num_entities = 0;
-  double arena_hit_rate = 0.0;  // hits / (hits + misses); 0 when no traffic
-  int64_t request_id = 0;       // echoed from the ParseRequest (0 = none)
+  int64_t request_id = 0;  // echoed from the ParseRequest (0 = none)
 };
 
 /// A parse plus its measurements — returned by the *WithStats entry points.

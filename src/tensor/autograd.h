@@ -29,8 +29,8 @@ std::vector<TensorImpl*> TopologicalOrder(TensorImpl* root);
 ///  * a gradient buffer sized differently from its tensor's data (the
 ///    "gradient shape matches output shape" invariant);
 ///  * double backward — a node whose backward_fn already ran in an earlier
-///    RunBackward; its closure may capture arena scratch that has since
-///    been recycled, so running it again reads freed buffers.
+///    RunBackward; its closure may capture scratch that has since been
+///    freed, so running it again reads freed buffers.
 /// Exposed for tests; a no-op when RF_DCHECK is compiled out.
 void ValidateGraph(const TensorImpl* root,
                    const std::vector<TensorImpl*>& order);

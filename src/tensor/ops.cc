@@ -8,7 +8,6 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "tensor/op_compute.h"
 #include "tensor/plan.h"
@@ -662,10 +661,10 @@ Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
   Tensor out = MakeNode({t_len, dim}, std::move(parents));
 
   // Attention probabilities for every head, [H, T, T]; kept alive by the
-  // backward closure when gradients are tracked, recycled immediately
+  // backward closure when gradients are tracked, freed immediately
   // otherwise. shared_ptr because std::function requires copyability.
-  auto attn = std::make_shared<ArenaBuffer>(static_cast<int64_t>(num_heads) *
-                                            t_len * t_len);
+  auto attn = std::make_shared<std::vector<float>>(
+      static_cast<size_t>(num_heads) * t_len * t_len, 0.0f);
   const int64_t rows = static_cast<int64_t>(num_heads) * t_len;
   const int64_t work = 2 * rows * t_len * head_dim;
   static metrics::Counter* calls =
@@ -707,7 +706,8 @@ Tensor FusedMultiHeadAttention(const Tensor& q, const Tensor& k,
     // dAttn[h,i,j] = dot(dY[i, head h], V[j, head h]). Unscaled — the bias
     // gradient is taken before the 1/sqrt(d) factor, exactly like the
     // composed Scale->Add->Softmax chain.
-    ArenaBuffer dscores_buf(need_dscores ? rows * t_len : 0);
+    std::vector<float> dscores_buf(
+        need_dscores ? static_cast<size_t>(rows * t_len) : 0, 0.0f);
     float* pds = dscores_buf.data();
     if (need_dscores) {
       ForRows(rows, work, kGemmParallelWork,

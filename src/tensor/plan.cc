@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "tensor/arena.h"
 #include "tensor/op_compute.h"
 #include "tensor/quant.h"
 
@@ -603,13 +602,19 @@ bool PlanExecutor::Run(const Plan& plan, const BindingSet& bindings,
       return false;
     }
   }
-  // One arena buffer per replay: after the first replay of a bucket the
-  // acquire is a free-list hit, so steady state performs no allocation.
-  ArenaBuffer workspace(plan.workspace_floats);
-  // Pointer table reused across replays on this thread: `assign` rewrites
-  // the contents in place, so after the first replay of the largest bucket
-  // the table never reallocates.
+  // Workspace and pointer table are reused across replays on this thread:
+  // `assign` rewrites the contents in place (the workspace zero-filled, as
+  // a fresh Tensor::Zeros would be), so once the largest bucket has been
+  // replayed on a thread, replay never allocates. plan.workspace_grows
+  // counts the replays that did.
+  thread_local std::vector<float> workspace;
   thread_local std::vector<float*> value_ptrs;
+  if (workspace.capacity() < static_cast<size_t>(plan.workspace_floats)) {
+    static metrics::Counter* grows =
+        metrics::MetricsRegistry::Global().GetCounter("plan.workspace_grows");
+    grows->Increment();
+  }
+  workspace.assign(static_cast<size_t>(plan.workspace_floats), 0.0f);
   value_ptrs.assign(plan.values.size(), nullptr);
   ExecContext ctx;
   ctx.plan = &plan;

@@ -41,7 +41,7 @@ namespace plan {
 ///
 /// Thread safety: plans are immutable after Finish and hold no mutable
 /// state; any number of threads may Run the same plan concurrently (each
-/// Run draws its own workspace from the TensorArena). Recorders are
+/// Run replays into its own thread's workspace). Recorders are
 /// thread-local and must not outlive their thread.
 
 // Binding roles: the replay-variable inputs of a plan. Index roles feed
@@ -247,9 +247,10 @@ class PlanExecutor {
   /// Replays `plan` against `bindings`, writing the plan output (row-major,
   /// plan.output_size floats) into `out`. Returns false — without touching
   /// `out` — when the bindings fail validation (missing role, wrong index
-  /// count or tensor size, index out of range). The workspace is one
-  /// TensorArena buffer acquired per call, so steady-state replay allocates
-  /// nothing new.
+  /// count or tensor size, index out of range). The workspace is a
+  /// zero-filled buffer reused across calls on the calling thread, so
+  /// steady-state replay allocates nothing new (counter
+  /// "plan.workspace_grows" ticks whenever it has to grow).
   static bool Run(const Plan& plan, const BindingSet& bindings, float* out);
 };
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "tensor/arena.h"
 #include "tensor/autograd.h"
 
 namespace resuformer {
@@ -21,16 +20,6 @@ int64_t ShapeProduct(const std::vector<int>& shape) {
 }
 }  // namespace
 
-TensorImpl::~TensorImpl() {
-  // Recycle storage through the arena. Foreign buffers (FromData, plain
-  // grads) are parked too — they just never touched the outstanding count.
-  TensorArena& arena = TensorArena::Global();
-  if (!data.empty() || data_from_arena) {
-    arena.Release(std::move(data), data_from_arena);
-  }
-  if (!grad.empty()) arena.Release(std::move(grad), /*was_acquired=*/false);
-}
-
 NoGradGuard::NoGradGuard() : previous_(g_grad_enabled) {
   g_grad_enabled = false;
 }
@@ -39,8 +28,7 @@ bool NoGradGuard::GradEnabled() { return g_grad_enabled; }
 
 Tensor Tensor::Zeros(std::vector<int> shape, bool requires_grad) {
   auto impl = std::make_shared<TensorImpl>();
-  impl->data =
-      TensorArena::Global().Acquire(ShapeProduct(shape), &impl->data_from_arena);
+  impl->data.assign(static_cast<size_t>(ShapeProduct(shape)), 0.0f);
   impl->shape = std::move(shape);
   impl->requires_grad = requires_grad;
   return Tensor(std::move(impl));
@@ -170,11 +158,7 @@ void Tensor::AttachExternalStorage(float* ptr, std::shared_ptr<void> owner) {
   RF_CHECK(defined());
   RF_CHECK(ptr != nullptr);
   TensorImpl* im = impl_.get();
-  if (!im->data.empty() || im->data_from_arena) {
-    TensorArena::Global().Release(std::move(im->data), im->data_from_arena);
-    im->data.clear();
-    im->data_from_arena = false;
-  }
+  std::vector<float>().swap(im->data);
   im->external_data = ptr;
   im->external_owner = std::move(owner);
 }

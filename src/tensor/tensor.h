@@ -13,15 +13,10 @@ namespace resuformer {
 /// Shared storage + autograd metadata behind a Tensor handle.
 /// Not part of the public API; use Tensor.
 struct TensorImpl {
-  ~TensorImpl();  // returns data/grad buffers to the TensorArena
-
   std::vector<int> shape;
   std::vector<float> data;
   std::vector<float> grad;  // size() elements once EnsureGrad() ran
   bool requires_grad = false;
-  // True when `data` was drawn from the TensorArena free lists; balances
-  // the arena's outstanding-buffer count on destruction.
-  bool data_from_arena = false;
 
   // External storage mode (mmap'd RFP3 checkpoints): when set, `data` is
   // empty and every element access routes through `external_data`, whose
@@ -131,7 +126,7 @@ class Tensor {
 
   /// Switches this tensor to external storage: element data now lives at
   /// `ptr` (size() floats, 4-byte aligned), kept alive by `owner`. The
-  /// previous heap buffer is returned to the arena. Used by the RFP3
+  /// previous heap buffer is freed. Used by the RFP3
   /// mmap loader to point parameters at checkpoint pages (zero-copy).
   void AttachExternalStorage(float* ptr, std::shared_ptr<void> owner);
 

@@ -324,12 +324,12 @@ TEST(RuntimeOptionsEnvTest, TraceCapacityRangeChecked) {
 
 TEST(RuntimeOptionsEnvTest, BoolKnobsParseCommonSpellings) {
   {
-    ScopedEnv env("RESUFORMER_TENSOR_ARENA", "off");
-    EXPECT_FALSE(RuntimeOptions::FromEnv().use_tensor_arena);
+    ScopedEnv env("RESUFORMER_FUSED_ATTENTION", "off");
+    EXPECT_FALSE(RuntimeOptions::FromEnv().use_fused_attention);
   }
   {
-    ScopedEnv env("RESUFORMER_TENSOR_ARENA", "1");
-    EXPECT_TRUE(RuntimeOptions::FromEnv().use_tensor_arena);
+    ScopedEnv env("RESUFORMER_USE_PLAN", "1");
+    EXPECT_TRUE(RuntimeOptions::FromEnv().use_inference_plan);
   }
   {
     ScopedEnv env("RESUFORMER_METRICS", "TRUE");

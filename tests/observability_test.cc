@@ -1,7 +1,7 @@
 // Tests for the observability layer: MetricsRegistry (counters, gauges,
 // log-scale histograms, JSON snapshots), the scoped-span tracer (ring
-// buffers, Chrome trace export) and RuntimeOptions::FromEnv. Labeled
-// `observability` in ctest for selective runs.
+// buffers, Chrome trace export), RuntimeOptions::FromEnv and the pipeline's
+// own counters. Labeled `observability` in ctest for selective runs.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,8 @@
 #include "common/metrics.h"
 #include "common/runtime_options.h"
 #include "common/trace.h"
+#include "pipeline/pipeline.h"
+#include "resumegen/corpus.h"
 
 namespace resuformer {
 namespace {
@@ -306,14 +308,12 @@ TEST_F(TraceTest, ResetDiscardsSpans) {
 TEST(RuntimeOptionsTest, DefaultsWhenEnvUnset) {
   unsetenv("RESUFORMER_THREADS");
   unsetenv("RESUFORMER_FUSED_ATTENTION");
-  unsetenv("RESUFORMER_TENSOR_ARENA");
   unsetenv("RESUFORMER_METRICS");
   unsetenv("RESUFORMER_TRACE");
   unsetenv("RESUFORMER_TRACE_CAPACITY");
   const RuntimeOptions options = RuntimeOptions::FromEnv();
   EXPECT_EQ(options.threads, 0);
   EXPECT_TRUE(options.use_fused_attention);
-  EXPECT_TRUE(options.use_tensor_arena);
   EXPECT_FALSE(options.enable_metrics);
   EXPECT_FALSE(options.enable_tracing);
   EXPECT_EQ(options.trace_buffer_capacity, 8192);
@@ -322,20 +322,17 @@ TEST(RuntimeOptionsTest, DefaultsWhenEnvUnset) {
 TEST(RuntimeOptionsTest, EnvOverridesApply) {
   setenv("RESUFORMER_THREADS", "3", 1);
   setenv("RESUFORMER_FUSED_ATTENTION", "off", 1);
-  setenv("RESUFORMER_TENSOR_ARENA", "0", 1);
   setenv("RESUFORMER_METRICS", "1", 1);
   setenv("RESUFORMER_TRACE", "true", 1);
   setenv("RESUFORMER_TRACE_CAPACITY", "1024", 1);
   const RuntimeOptions options = RuntimeOptions::FromEnv();
   EXPECT_EQ(options.threads, 3);
   EXPECT_FALSE(options.use_fused_attention);
-  EXPECT_FALSE(options.use_tensor_arena);
   EXPECT_TRUE(options.enable_metrics);
   EXPECT_TRUE(options.enable_tracing);
   EXPECT_EQ(options.trace_buffer_capacity, 1024);
   unsetenv("RESUFORMER_THREADS");
   unsetenv("RESUFORMER_FUSED_ATTENTION");
-  unsetenv("RESUFORMER_TENSOR_ARENA");
   unsetenv("RESUFORMER_METRICS");
   unsetenv("RESUFORMER_TRACE");
   unsetenv("RESUFORMER_TRACE_CAPACITY");
@@ -638,6 +635,81 @@ TEST_F(TraceTest, WriteChromeTraceJsonProducesLoadableFile) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"exemplar.span\""), std::string::npos);
   EXPECT_NE(json.find("\"request_id\": 9"), std::string::npos);
+}
+
+// pipeline.ner_windowed_blocks counts entity-bearing blocks too long for one
+// NER window (more than ner.max_tokens words): PredictWords splits each into
+// several windowed calls, but the counter ticks once per block, not once
+// per window.
+TEST(PipelineMetricsTest, NerWindowedBlocksCountsEachLongBlockOnce) {
+  resumegen::CorpusConfig ccfg;
+  ccfg.pretrain_docs = 4;
+  ccfg.train_docs = 6;
+  ccfg.val_docs = 2;
+  ccfg.test_docs = 6;
+  ccfg.seed = 99;
+  const resumegen::Corpus corpus = resumegen::GenerateCorpus(ccfg);
+  pipeline::PipelineOptions options;
+  options.model.hidden = 16;
+  options.model.sentence_layers = 1;
+  options.model.document_layers = 1;
+  options.model.num_heads = 2;
+  options.model.ffn = 32;
+  options.model.max_tokens_per_sentence = 12;
+  options.model.max_sentences = 32;
+  options.model.lstm_hidden = 12;
+  options.ner.hidden = 16;
+  options.ner.layers = 1;
+  options.ner.num_heads = 2;
+  options.ner.ffn = 32;
+  options.ner.max_tokens = 12;  // small: typical blocks need several windows
+  options.ner.lstm_hidden = 8;
+  options.vocab_size = 400;
+  options.pretrain_epochs = 1;
+  options.finetune.epochs = 2;
+  options.finetune.patience = 2;
+  options.selftrain.teacher_epochs = 1;
+  options.selftrain.teacher_patience = 1;
+  options.selftrain.iterations = 1;
+  options.ner_data.train_sequences = 30;
+  options.ner_data.val_sequences = 10;
+  options.ner_data.test_sequences = 10;
+  const auto pl = pipeline::ResuFormerPipeline::TrainFromCorpus(corpus, options);
+  ASSERT_NE(pl, nullptr);
+
+  const metrics::Counter* windowed =
+      MetricsRegistry::Global().GetCounter("pipeline.ner_windowed_blocks");
+  int long_blocks = 0, multi_window_blocks = 0;
+  for (const resumegen::GeneratedResume& labeled : corpus.test) {
+    pipeline::ParseRequest request;
+    request.document = labeled.document;
+    const int64_t before = windowed->value();
+    const pipeline::ParseResponse response = pl->Parse(request);
+    ASSERT_TRUE(response.ok());
+    int64_t want = 0;
+    for (const pipeline::StructuredBlock& block : response.resume.blocks) {
+      const bool entity_bearing = block.tag == doc::BlockTag::kPInfo ||
+                                  block.tag == doc::BlockTag::kEduExp ||
+                                  block.tag == doc::BlockTag::kWorkExp ||
+                                  block.tag == doc::BlockTag::kProjExp;
+      int words = 0;
+      for (const std::string& line : block.lines) {
+        std::istringstream in(line);
+        std::string word;
+        while (in >> word) ++words;
+      }
+      if (entity_bearing && words > options.ner.max_tokens) {
+        ++want;
+        if (words > 2 * options.ner.max_tokens) ++multi_window_blocks;
+      }
+    }
+    EXPECT_EQ(windowed->value() - before, want);
+    long_blocks += static_cast<int>(want);
+  }
+  // The corpus must actually exercise the counter, including blocks that
+  // span three or more windows.
+  EXPECT_GT(long_blocks, 0);
+  EXPECT_GT(multi_window_blocks, 0);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "core/hierarchical_encoder.h"
 #include "pipeline/pipeline.h"
 #include "resumegen/corpus.h"
-#include "tensor/arena.h"
 
 namespace resuformer {
 namespace {
@@ -152,13 +151,6 @@ TEST(PerfSmokeTest, ParseBatchMatchesSerialParse) {
     }
   }
 
-  // Inference must not leak arena buffers: everything acquired during the
-  // batched parse has been returned (live model parameters are accounted in
-  // the baseline taken before the parse would be — compare deltas instead).
-  const int64_t outstanding_before = TensorArena::Global().stats().outstanding;
-  { pipeline->ParseBatch(documents); }
-  EXPECT_EQ(TensorArena::Global().stats().outstanding, outstanding_before);
-
   // ParseWithStats returns the same resume as Parse plus sane measurements,
   // and enabling the full observability stack must not change results.
   metrics::MetricsRegistry::Global().SetEnabled(true);
@@ -174,8 +166,6 @@ TEST(PerfSmokeTest, ParseBatchMatchesSerialParse) {
             static_cast<int>(plain.blocks.size()));
   EXPECT_GT(with_stats.stats.num_sentences, 0);
   EXPECT_GT(with_stats.stats.wall_time_us, 0.0);
-  EXPECT_GE(with_stats.stats.arena_hit_rate, 0.0);
-  EXPECT_LE(with_stats.stats.arena_hit_rate, 1.0);
 }
 
 TEST(PerfSmokeTest, DisabledInstrumentationIsCheap) {

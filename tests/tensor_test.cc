@@ -7,7 +7,6 @@
 
 #include "common/thread_pool.h"
 #include "gradcheck.h"
-#include "tensor/arena.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -798,120 +797,6 @@ TEST(ParallelOpsTest, MatMulTransposedBitIdenticalAcrossThreads) {
     ASSERT_EQ(da, GradOf(a));
     ASSERT_EQ(db, GradOf(b));
   }
-}
-
-// ---------- tensor buffer arena ----------
-
-TEST(ArenaTest, RecyclesReleasedBuffers) {
-  TensorArena& arena = TensorArena::Global();
-  arena.SetEnabled(true);
-  arena.Clear();
-  arena.ResetStats();
-  const int64_t before_outstanding = arena.stats().outstanding;
-  {
-    Tensor t = Tensor::Zeros({256});
-    EXPECT_EQ(arena.stats().outstanding, before_outstanding + 1);
-  }
-  // The released buffer must serve the next same-class request as a hit,
-  // zero-filled despite the previous tenant's writes.
-  {
-    Tensor t = Tensor::Full({256}, 3.0f);
-  }
-  const int64_t misses_before = arena.stats().misses;
-  Tensor t = Tensor::Zeros({256});
-  EXPECT_EQ(arena.stats().misses, misses_before);
-  EXPECT_GE(arena.stats().hits, 1);
-  EXPECT_GT(arena.stats().bytes_recycled, 0);
-  for (int i = 0; i < 256; ++i) ASSERT_EQ(t.at(i), 0.0f);
-}
-
-TEST(ArenaTest, OutstandingReturnsToBaselineAfterGraphRuns) {
-  TensorArena& arena = TensorArena::Global();
-  arena.SetEnabled(true);
-  const int64_t before = arena.stats().outstanding;
-  {
-    // Forward + backward builds and destroys a whole graph, including the
-    // fused attention's ArenaBuffer workspaces.
-    Tensor q = RandTensor({16, 8}, 1400);
-    q.set_requires_grad(true);
-    Tensor y = ops::FusedMultiHeadAttention(q, q, q, Tensor(), 2);
-    ops::Mean(y).Backward();
-  }
-  EXPECT_EQ(arena.stats().outstanding, before);
-}
-
-TEST(ArenaTest, OddCapacityBuffersLandInFloorClass) {
-  TensorArena& arena = TensorArena::Global();
-  arena.SetEnabled(true);
-  arena.Clear();
-  arena.ResetStats();
-  // 192 floats is not a size class: Acquire rounds the capacity up to 256
-  // (ceil class), so the release parks it back where a 256-float request
-  // finds it.
-  { Tensor t = Tensor::Zeros({192}); }
-  const int64_t hits_before = arena.stats().hits;
-  { Tensor t = Tensor::Zeros({256}); }
-  EXPECT_EQ(arena.stats().hits, hits_before + 1);
-
-  // A foreign buffer (FromData: capacity 300, never Acquired) is adopted
-  // into its floor class 256 and can serve a 200-float request.
-  {
-    std::vector<float> data(300, 1.0f);
-    Tensor t = Tensor::FromData({300}, std::move(data));
-  }
-  const int64_t hits_before2 = arena.stats().hits;
-  { Tensor t = Tensor::Zeros({200}); }
-  EXPECT_EQ(arena.stats().hits, hits_before2 + 1);
-}
-
-TEST(ArenaTest, SubClassForeignBuffersAreDropped) {
-  TensorArena& arena = TensorArena::Global();
-  arena.SetEnabled(true);
-  arena.Clear();
-  arena.ResetStats();
-  // A foreign buffer below the minimum size class (FromData with capacity 8;
-  // arena-acquired buffers always reserve at least the minimum class) is
-  // freed on release, not cached.
-  {
-    std::vector<float> d(8, 1.0f);
-    Tensor t = Tensor::FromData({8}, std::move(d));
-  }
-  EXPECT_EQ(arena.stats().cached_bytes, 0);
-  { Tensor t = Tensor::Zeros({8}); }  // nothing cached: a miss, not a hit
-  EXPECT_EQ(arena.stats().hits, 0);
-  EXPECT_EQ(arena.stats().outstanding, 0);
-}
-
-TEST(ArenaTest, DisabledArenaStillBalancesOutstanding) {
-  TensorArena& arena = TensorArena::Global();
-  arena.SetEnabled(false);
-  arena.Clear();
-  arena.ResetStats();
-  {
-    Tensor t = Tensor::Zeros({1024});
-    Tensor u = ops::Scale(t, 2.0f);
-  }
-  const TensorArena::Stats stats = arena.stats();
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.outstanding, 0);
-  EXPECT_EQ(stats.cached_bytes, 0);
-  arena.SetEnabled(true);
-}
-
-TEST(ArenaTest, BudgetBoundsCachedBytes) {
-  TensorArena& arena = TensorArena::Global();
-  arena.SetEnabled(true);
-  arena.Clear();
-  arena.ResetStats();
-  arena.SetBudgetBytes(1024 * sizeof(float));
-  { Tensor t = Tensor::Zeros({1024}); }       // fills the whole budget
-  { Tensor t = Tensor::Zeros({1024}); }       // hit, then re-parked
-  const int64_t cached = arena.stats().cached_bytes;
-  EXPECT_LE(cached, 1024 * static_cast<int64_t>(sizeof(float)));
-  { Tensor t = Tensor::Zeros({512}); }        // release would exceed budget
-  EXPECT_EQ(arena.stats().cached_bytes, cached);
-  arena.SetBudgetBytes(256LL << 20);
-  arena.Clear();
 }
 
 }  // namespace

@@ -20,10 +20,24 @@ bool InConcurrencyScope(const std::string& file) {
          file.find("deadlock/") != std::string::npos;
 }
 
-// Where parallel-body lambdas become alloc-rule roots.
-bool InAllocScope(const std::string& file) {
+// Where parallel-body lambdas become alloc-rule roots, and where the tensor
+// storage entry points are lock-on-tensor-path roots.
+bool InTensorScope(const std::string& file) {
   return file.find("tensor/") != std::string::npos ||
          file.find("deadlock/") != std::string::npos;
+}
+
+// The tensor storage entry points: every op output is born in MakeNode /
+// Tensor::Zeros (or adopted by FromData) and dies in ~TensorImpl, tens of
+// thousands of times per parsed document on every thread that computes.
+bool IsTensorPathRoot(const FunctionInfo& f) {
+  if (f.is_lambda || !InTensorScope(f.file)) return false;
+  const std::string& name = f.simple_name;
+  if (f.owner_class == "Tensor") {
+    return name == "Zeros" || name == "Full" || name == "FromData";
+  }
+  return (f.owner_class == "TensorImpl" && name == "~TensorImpl") ||
+         name == "MakeNode";
 }
 
 std::string Loc(const FunctionInfo& f, int line) {
@@ -38,6 +52,7 @@ class Graph {
     }
     blocks_.resize(fns_.size());
     allocs_.resize(fns_.size());
+    locks_.resize(fns_.size());
     acquired_.resize(fns_.size());
   }
 
@@ -46,6 +61,7 @@ class Graph {
     RunBlockingRule(&out);
     RunLockOrderRule(&out);
     RunAllocRule(&out);
+    RunTensorPathLockRule(&out);
     return out;
   }
 
@@ -96,56 +112,27 @@ class Graph {
     return cand;
   }
 
-  // Does `f` (transitively) reach a blocking syscall?
-  const Reach& Blocks(int f) {
-    Reach& r = blocks_[f];
-    if (r.state == 2) return r;
-    if (r.state == 1) return r;  // recursion: cut the cycle, assume no
+  // Does `f` (transitively) reach a site `direct` describes? `direct`
+  // returns "" for a function with no such site of its own, else the
+  // witness suffix. One-time-init edges are not followed (they run once,
+  // not in steady state), and `prune`d functions count as clean.
+  template <typename Direct, typename Prune>
+  const Reach& Reaches(int f, std::vector<Reach>* memo, const Direct& direct,
+                       const Prune& prune) {
+    Reach& r = (*memo)[f];
+    if (r.state != 0) return r;  // done, or recursion: cut the cycle, no
     r.state = 1;
-    if (!fns_[f].attr_nonblocking) {
-      for (const BlockingSite& b : fns_[f].blocking) {
+    if (!prune(fns_[f])) {
+      const std::string here = direct(fns_[f]);
+      if (!here.empty()) {
         r.yes = true;
-        r.chain = fns_[f].qualified_name + " calls " + b.what + " (" +
-                  Loc(fns_[f], b.line) + ")";
-        break;
+        r.chain = fns_[f].qualified_name + here;
       }
-      if (!r.yes) {
-        for (const CallSite& c : fns_[f].calls) {
-          if (c.static_init) continue;  // one-time init, not steady state
-          for (int g : Resolve(f, c)) {
-            const Reach& sub = Blocks(g);
-            if (sub.yes) {
-              r.yes = true;
-              r.chain = fns_[f].qualified_name + " (" + Loc(fns_[f], c.line) +
-                        ") -> " + sub.chain;
-              break;
-            }
-          }
-          if (r.yes) break;
-        }
-      }
-    }
-    r.state = 2;
-    return r;
-  }
-
-  // Does `f` (transitively) allocate?
-  const Reach& Allocates(int f) {
-    Reach& r = allocs_[f];
-    if (r.state == 2) return r;
-    if (r.state == 1) return r;
-    r.state = 1;
-    for (const AllocSite& a : fns_[f].allocs) {
-      r.yes = true;
-      r.chain = fns_[f].qualified_name + " allocates via " + a.what + " (" +
-                Loc(fns_[f], a.line) + ")";
-      break;
-    }
-    if (!r.yes) {
       for (const CallSite& c : fns_[f].calls) {
-        if (c.static_init) continue;  // one-time init, not steady state
+        if (r.yes) break;
+        if (c.static_init) continue;
         for (int g : Resolve(f, c)) {
-          const Reach& sub = Allocates(g);
+          const Reach& sub = Reaches(g, memo, direct, prune);
           if (sub.yes) {
             r.yes = true;
             r.chain = fns_[f].qualified_name + " (" + Loc(fns_[f], c.line) +
@@ -153,11 +140,46 @@ class Graph {
             break;
           }
         }
-        if (r.yes) break;
       }
     }
     r.state = 2;
     return r;
+  }
+
+  // Does `f` (transitively) reach a blocking syscall?
+  const Reach& Blocks(int f) {
+    return Reaches(
+        f, &blocks_,
+        [](const FunctionInfo& fn) {
+          if (fn.blocking.empty()) return std::string();
+          const BlockingSite& b = fn.blocking.front();
+          return " calls " + b.what + " (" + Loc(fn, b.line) + ")";
+        },
+        [](const FunctionInfo& fn) { return fn.attr_nonblocking; });
+  }
+
+  // Does `f` (transitively) allocate?
+  const Reach& Allocates(int f) {
+    return Reaches(
+        f, &allocs_,
+        [](const FunctionInfo& fn) {
+          if (fn.allocs.empty()) return std::string();
+          const AllocSite& a = fn.allocs.front();
+          return " allocates via " + a.what + " (" + Loc(fn, a.line) + ")";
+        },
+        [](const FunctionInfo&) { return false; });
+  }
+
+  // Does `f` (transitively) acquire a mutex?
+  const Reach& Locks(int f) {
+    return Reaches(
+        f, &locks_,
+        [](const FunctionInfo& fn) {
+          if (fn.locks.empty()) return std::string();
+          const LockSite& s = fn.locks.front();
+          return " acquires " + s.mutex + " (" + Loc(fn, s.line) + ")";
+        },
+        [](const FunctionInfo&) { return false; });
   }
 
   // Which mutexes might `f` (transitively) acquire, with witness paths?
@@ -364,7 +386,7 @@ class Graph {
   void RunAllocRule(std::vector<GraphFinding>* out) {
     for (int f = 0; f < static_cast<int>(fns_.size()); ++f) {
       const FunctionInfo& fn = fns_[f];
-      const bool parallel_root = fn.is_parallel_body && InAllocScope(fn.file);
+      const bool parallel_root = fn.is_parallel_body && InTensorScope(fn.file);
       const bool replay_root =
           fn.file.find("tensor/plan") != std::string::npos &&
           (fn.simple_name.rfind("Exec", 0) == 0 ||
@@ -392,10 +414,37 @@ class Graph {
     }
   }
 
+  void RunTensorPathLockRule(std::vector<GraphFinding>* out) {
+    for (int f = 0; f < static_cast<int>(fns_.size()); ++f) {
+      const FunctionInfo& fn = fns_[f];
+      if (!IsTensorPathRoot(fn)) continue;
+      for (const LockSite& s : fn.locks) {
+        out->push_back({"lock-on-tensor-path", fn.file, s.line,
+                        "mutex " + s.mutex +
+                            " acquired on the tensor allocation path in " +
+                            fn.qualified_name});
+      }
+      for (const CallSite& c : fn.calls) {
+        if (c.static_init) continue;
+        for (int g : Resolve(f, c)) {
+          const Reach& sub = Locks(g);
+          if (!sub.yes) continue;
+          out->push_back({"lock-on-tensor-path", fn.file, c.line,
+                          "mutex acquisition reachable from the tensor "
+                          "allocation path: " +
+                              fn.qualified_name + " (" + Loc(fn, c.line) +
+                              ") -> " + sub.chain});
+          break;
+        }
+      }
+    }
+  }
+
   const std::vector<FunctionInfo>& fns_;
   std::map<std::string, std::vector<int>> by_name_;
   std::vector<Reach> blocks_;
   std::vector<Reach> allocs_;
+  std::vector<Reach> locks_;
   std::vector<Acquired> acquired_;
 };
 

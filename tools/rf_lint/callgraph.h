@@ -1,5 +1,5 @@
 // rf_lint cross-file pass: stitches per-function facts (scopes.h) into a
-// project call graph and runs the three graph rule families over it:
+// project call graph and runs the four graph rule families over it:
 //
 //   lock-order-cycle            — mutex acquisition-order graph across the
 //                                 concurrency surface (src/serve/, common/
@@ -18,6 +18,11 @@
 //                                 plan-replay instruction handler (the PR-5
 //                                 steady-state zero-alloc invariant, enforced
 //                                 statically).
+//   lock-on-tensor-path         — mutex acquisition reachable from the tensor
+//                                 storage entry points (Tensor::Zeros/Full/
+//                                 FromData, ~TensorImpl, ops' MakeNode),
+//                                 outside one-time init: one lock there
+//                                 serializes every thread that computes.
 //
 // Call resolution is by simple name with preference order: explicit
 // `Foo::` qualifier match > same class > same file > all candidates (capped —
@@ -37,13 +42,13 @@
 namespace rflint {
 
 struct GraphFinding {
-  std::string rule;  // one of the three family names above
+  std::string rule;  // one of the four family names above
   std::string file;  // file the finding anchors to
   int line = 0;
   std::string message;
 };
 
-/// Runs all three graph rule families over the whole-project function list.
+/// Runs all four graph rule families over the whole-project function list.
 std::vector<GraphFinding> RunGraphRules(
     const std::vector<FunctionInfo>& functions);
 

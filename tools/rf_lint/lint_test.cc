@@ -827,6 +827,58 @@ TEST(GraphTest, ThreadLocalRegistrationIsNotSteadyStateAllocation) {
   EXPECT_EQ(CountRule(RunGraphRules(fns), "alloc-in-parallel-for"), 0);
 }
 
+TEST(GraphTest, LockOnTensorPathFollowsCallsFromStorageEntryPoints) {
+  // The retired process-wide buffer pool in miniature: storage birth and
+  // death both reach one mutex, which serializes every computing thread.
+  auto fns = Funcs("src/tensor/tensor.cc",
+                   "Tensor Tensor::Zeros(std::vector<int> shape) {\n"
+                   "  return Tensor(Pool::Global().Acquire(Count(shape)));\n"
+                   "}\n"
+                   "TensorImpl::~TensorImpl() {\n"
+                   "  Pool::Global().Release(data);\n"
+                   "}\n"
+                   "Tensor Tensor::FromData(std::vector<float> data) {\n"
+                   "  static Counter* adopted = Registry::Get(\"adopted\");\n"
+                   "  return Tensor(data);\n"
+                   "}\n"
+                   "void Tensor::Save() const { Pool::Global().Release(data); }\n");
+  const auto pool = Funcs("src/common/pool.cc",
+                          "#include <mutex>\n"
+                          "std::vector<float> Pool::Acquire(long n) {\n"
+                          "  std::lock_guard<std::mutex> lock(mu_);\n"
+                          "  return Take(n);\n"
+                          "}\n"
+                          "void Pool::Release(std::vector<float>& v) {\n"
+                          "  std::lock_guard<std::mutex> lock(mu_);\n"
+                          "}\n"
+                          "Counter* Registry::Get(const char* name) {\n"
+                          "  std::lock_guard<std::mutex> lock(mu_);\n"
+                          "  return nullptr;\n"
+                          "}\n");
+  fns.insert(fns.end(), pool.begin(), pool.end());
+  const auto findings = RunGraphRules(fns);
+  // Zeros and ~TensorImpl fire; FromData's lock is one-time init and Save
+  // is not a storage entry point.
+  ASSERT_EQ(CountRule(findings, "lock-on-tensor-path"), 2);
+  for (const GraphFinding& g : findings) {
+    if (g.rule != "lock-on-tensor-path") continue;
+    EXPECT_EQ(g.file, "src/tensor/tensor.cc");
+    EXPECT_NE(g.message.find("Pool::mu_"), std::string::npos);
+    EXPECT_NE(g.message.find("->"), std::string::npos);  // chain printed
+  }
+}
+
+TEST(GraphTest, TensorPathRootsLiveOnlyInTensorFiles) {
+  // Same shape outside tensor/: not the storage entry point.
+  const auto fns = Funcs("src/nn/matrix.cc",
+                         "#include <mutex>\n"
+                         "Tensor Tensor::Zeros(long n) {\n"
+                         "  std::lock_guard<std::mutex> lock(mu);\n"
+                         "  return Tensor();\n"
+                         "}\n");
+  EXPECT_EQ(CountRule(RunGraphRules(fns), "lock-on-tensor-path"), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Linter plumbing: suppressions and expectations
 

@@ -119,7 +119,7 @@ const std::vector<std::string>& Linter::AllRules() {
       "trace-span-in-parallel-for", "json-string-concat",
       "mmap-payload-cast",      "metric-name-literal",
       "lock-order-cycle",       "blocking-reachable-under-lock",
-      "alloc-in-parallel-for"};
+      "alloc-in-parallel-for",  "lock-on-tensor-path"};
   return kRules;
 }
 
@@ -347,8 +347,8 @@ void Linter::LintBannedConstructs(const LintedFile& f) {
                           !IsIdent(toks[i - 2], "std");
       if (!scoped) {
         Report(f, t.line, "naked-malloc",
-               "'" + t.text +
-                   "' bypasses the tensor arena and RAII ownership");
+               "'" + t.text + "' bypasses RAII ownership; use a container "
+                              "or std::make_unique");
       }
       continue;
     }

@@ -23,6 +23,9 @@
 //                           section to a blocking syscall, chain printed.
 //   alloc-in-parallel-for   (graph) allocation reachable from a ParallelFor
 //                           body or plan-replay handler.
+//   lock-on-tensor-path     (graph) mutex acquisition reachable from the
+//                           tensor storage entry points (Zeros/Full/FromData,
+//                           ~TensorImpl, MakeNode).
 //
 // Suppressions (in comments):
 //   rf-lint-allow(rule[,rule...])        this line or the next line
